@@ -173,24 +173,14 @@ def pytest_sessionfinish(session, exitstatus):
             entry["seed_mean"] = seed_mean
             entry["speedup_vs_seed"] = round(seed_mean / stats.mean, 2)
         payload["benchmarks"][bench.name] = entry
-    # The legacy engines disable the caches/batching entirely; ratios
-    # of 0 there are expected, not a regression, so only the fast
-    # engine records.
-    import os as _os
-
-    if (
-        _os.environ.get("MANETSIM_LEGACY_KINEMATICS") != "1"
-        and _os.environ.get("MANETSIM_LEGACY_PHY") != "1"
-        and _os.environ.get("MANETSIM_LEGACY_DCF") != "1"
-    ):
-        ratios = _measure_hit_ratios()
-        payload["hit_ratios"] = {
-            name: {
-                "ratio": round(value, 4),
-                "baseline": HIT_RATIO_BASELINE[name],
-            }
-            for name, value in ratios.items()
+    ratios = _measure_hit_ratios()
+    payload["hit_ratios"] = {
+        name: {
+            "ratio": round(value, 4),
+            "baseline": HIT_RATIO_BASELINE[name],
         }
+        for name, value in ratios.items()
+    }
     out = pathlib.Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
 

@@ -9,13 +9,15 @@ timers, DIFS/backoff resumes, and end-of-frame medium resolution.
 Topology: ~20 nodes inside a single 200 m × 200 m cell (everyone
 carrier-senses everyone), CBR load well past the cell's capacity so
 the interface queues never drain and every frame end is a resume
-storm. Both engines run the identical scenario; the legacy twin pins
-the per-node ``medium_changed`` path via ``MANETSIM_LEGACY_DCF=1``.
+storm. Both engines run the identical scenario; the ``_legacy`` row
+pins the per-node ``medium_changed`` path (which PHY-traced runs use)
+by patching ``Channel.enable_arena`` to refuse.
 """
 
 import dataclasses
-import os
+from unittest import mock
 
+from repro.phy import Channel
 from repro.scenario import ScenarioConfig, run_scenario
 
 _CFG = dict(
@@ -33,19 +35,11 @@ _CFG = dict(
 
 
 def _run(legacy: bool):
-    """One saturated-cell run on the chosen engine (knob restored)."""
-    old = os.environ.get("MANETSIM_LEGACY_DCF")
-    if legacy:
-        os.environ["MANETSIM_LEGACY_DCF"] = "1"
-    else:
-        os.environ.pop("MANETSIM_LEGACY_DCF", None)
-    try:
+    """One saturated-cell run on the arena or, if *legacy*, per-node DCF."""
+    if not legacy:
         return run_scenario(ScenarioConfig(**_CFG))
-    finally:
-        if old is None:
-            os.environ.pop("MANETSIM_LEGACY_DCF", None)
-        else:
-            os.environ["MANETSIM_LEGACY_DCF"] = old
+    with mock.patch.object(Channel, "enable_arena", lambda self: False):
+        return run_scenario(ScenarioConfig(**_CFG))
 
 
 def _comparable(summary) -> dict:

@@ -3,8 +3,9 @@
 ``test_perf_large_scenario`` pays the whole stack; this bench strips
 the MAC and routing layers down to a no-op batch-safe stub so the
 timed region is almost entirely the channel's fan-out resolution and
-end-of-frame batch resolve — the code the batched arrival engine
-(and its ``MANETSIM_LEGACY_PHY=1`` twin) replaces.
+end-of-frame batch resolve — the batched arrival engine, against the
+per-pair path (which ``IdealMac`` and PHY-traced runs use) on the same
+workload.
 
 Topology: 150 static nodes on a dense grid, every node within carrier
 sense of dozens of others, sources striding across the field so both

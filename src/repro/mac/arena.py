@@ -26,11 +26,12 @@ authoritative; every mutation site mirrors into this array, so the
 vector passes always read current state. Verdicts are *computed*
 vectorially but *applied* in the channel's existing per-receiver loop
 order, so wheel/heap insertion order — and therefore every ``(time,
-seq)`` tie-break downstream — is identical to the legacy path. The
+seq)`` tie-break downstream — is identical to the per-node path. The
 suppressed calls are exactly the ones ``medium_changed`` would have
-no-opped (see each verdict's derivation below); bit-identical metrics
-across ``MANETSIM_LEGACY_DCF`` are pinned by
-``tests/scenario/test_determinism.py``.
+no-opped (see each verdict's derivation below). The per-node path
+still runs for PHY-traced runs; bit-identical metrics between the two
+are pinned by ``tests/scenario/test_determinism.py``, which turns the
+arena off by patching ``Channel.enable_arena``.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ class ContentionArena:
             #
             # Sparse fields first cut the loop to the waiting members
             # via the ledger's wants_medium flag (the same gate the
-            # legacy fan-out uses; it mirrors the 1..3 state band
+            # per-node fan-out uses; it mirrors the 1..3 state band
             # exactly).  A fully-waiting fan-out — the saturated-cell
             # shape — skips the mask copy and walks ids directly.
             w = self._ledger.wants_medium[ids]
@@ -305,7 +306,7 @@ class ContentionArena:
         during the pass — deliveries only touch their own node):
 
         * not waiting, or still physically busy → ``SUPPRESS`` (the
-          legacy gate skipped these calls already);
+          per-node gate skipped these calls already);
         * NAV-busy with a wake already armed → ``SUPPRESS`` (the busy
           branch would re-arm nothing);
         * NAV-busy, no wake armed → ``ARM_WAKE`` (NAV-busy implies

@@ -112,7 +112,7 @@ class DcfMac(MacLayer):
         self._responses: set[int] = set()  # uids of CTS/ACK/DATA responses
         self._pending_data: Optional[Frame] = None  # DATA awaiting CTS grant
         self._seen: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
-        #: Shared contention arena (None on the legacy per-node path).
+        #: Shared contention arena (None on the per-node path).
         #: When attached, the scalar waiting-state fields above remain
         #: authoritative for scalar code, and every mutation is mirrored
         #: into the arena's per-node arrays so its vectorized edge

@@ -17,9 +17,9 @@ trajectory composes a center path with a drifting offset) return
 Bit-determinism: the batch expression evaluates exactly the same
 floating-point operations, in the same order, as ``Leg.position`` —
 ``frac = (t - t0) / (t1 - t0)`` then ``x0 + frac * (x1 - x0)`` — so the
-vectorized path is bit-identical to the legacy per-node loop (NumPy
-float64 elementwise ops follow IEEE-754 like Python floats; there is no
-fused multiply-add). The segment window is half-open because at
+vectorized path is bit-identical to calling each model's ``position(t)``
+(NumPy float64 elementwise ops follow IEEE-754 like Python floats; there
+is no fused multiply-add). The segment window is half-open because at
 ``t == t1`` the interpolation ``x0 + 1.0 * (x1 - x0)`` is not bitwise
 ``x1`` in general; expired rows re-fetch the *next* leg instead.
 """
@@ -44,17 +44,12 @@ class MobilityManager:
     ----------
     models:
         One mobility model per node.
-    batch:
-        When True (default) evaluate positions through the published
-        segment arrays; when False use the legacy per-node Python loop
-        (the ``MANETSIM_LEGACY_KINEMATICS=1`` A/B path).
     """
 
-    def __init__(self, models: Sequence[MobilityModel], batch: bool = True):
+    def __init__(self, models: Sequence[MobilityModel]):
         if not models:
             raise ConfigurationError("MobilityManager needs at least one model")
         self.models: List[MobilityModel] = list(models)
-        self.batch = batch
         #: Optional shared PerfCounters (set by the owning network stack).
         self.perf = None
         #: Optional span profiler (set by the stack builder alongside
@@ -102,15 +97,6 @@ class MobilityManager:
         buf = self._cache
         models = self.models
         perf = self.perf
-        if not self.batch:
-            for i, m in enumerate(models):
-                buf[i, 0], buf[i, 1] = m.position(t)
-            if perf is not None:
-                perf.scalar_position_evals += len(models)
-            self._cache_t = t
-            self._cache_valid = True
-            return buf
-
         # Refresh rows whose published segment no longer covers t.
         t0 = self._seg_t0
         t1 = self._seg_t1

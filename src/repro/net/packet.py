@@ -200,8 +200,8 @@ class PacketPool:
 
     Determinism: an acquired shell draws ``next(packet_uid_counter)``
     exactly where a fresh allocation would, so uid sequences — and
-    therefore every dedup cache and trace — are bit-identical with the
-    pool on or off.
+    therefore every dedup cache and trace — are the same as with plain
+    allocation.
 
     Only packets flagged ``poolable`` are ever reclaimed; the flag is
     set exclusively by :meth:`acquire` and cleared on release, so
@@ -211,10 +211,9 @@ class PacketPool:
     #: Upper bound on retained shells (a network's worth of floods).
     MAX_FREE = 512
 
-    __slots__ = ("enabled", "perf", "_free")
+    __slots__ = ("perf", "_free")
 
     def __init__(self) -> None:
-        self.enabled = True
         #: Optional PerfCounters to credit reuses to (set per scenario).
         self.perf = None
         self._free: List[Packet] = []
@@ -231,7 +230,7 @@ class PacketPool:
         payload: Any,
     ) -> Packet:
         """A packet like ``Packet(...)`` but recycled when possible."""
-        if self.enabled and self._free:
+        if self._free:
             p = self._free.pop()
             p.uid = next(packet_uid_counter)
             p.origin_uid = p.uid
@@ -251,7 +250,7 @@ class PacketPool:
                 self.perf.packets_pooled += 1
             return p
         p = Packet(kind, proto, src, dst, size, created=created, ttl=ttl, payload=payload)
-        p.poolable = self.enabled
+        p.poolable = True
         return p
 
     def acquire_copy(self, packet: Packet) -> Packet:
@@ -260,7 +259,7 @@ class PacketPool:
         Used for broadcast rebroadcast copies (e.g. OLSR TC relays)
         whose life also ends at their own transmit completion.
         """
-        if self.enabled and self._free:
+        if self._free:
             p = self._free.pop()
             p.uid = next(packet_uid_counter)
             p.origin_uid = packet.origin_uid
@@ -280,7 +279,7 @@ class PacketPool:
                 self.perf.packets_pooled += 1
             return p
         p = packet.copy()
-        p.poolable = self.enabled
+        p.poolable = True
         return p
 
     def release(self, packet: Packet) -> None:

@@ -57,35 +57,28 @@ def build_network(
     mac_factory: Callable,
     propagation: Optional[PropagationModel] = None,
     radio_params: Optional[RadioParams] = None,
-    batch_kinematics: bool = True,
-    fanout_cache: bool = True,
     position_quantum: float = 0.0,
     batched_phy: bool = False,
-    dcf_arena: bool = False,
 ) -> Network:
     """Assemble the full stack for ``len(mobility_models)`` nodes.
 
-    ``batch_kinematics`` and ``fanout_cache`` select the vectorized hot
-    paths (the legacy per-node paths are kept for determinism A/B
-    testing); ``position_quantum`` is the channel's geometry sample
-    period (see :class:`~repro.phy.channel.Channel`).
+    ``position_quantum`` is the channel's geometry sample period (see
+    :class:`~repro.phy.channel.Channel`).
 
     ``batched_phy`` requests the batched arrival engine
-    (:meth:`~repro.phy.channel.Channel.enable_batched`); it is honored
-    only when every MAC is ``batch_safe`` and PHY tracing is off, and
-    defaults to off so direct callers (unit tests that monkeypatch
-    ``Radio.begin_arrival``) keep the per-pair reference path. The
-    scenario builder opts in unless ``MANETSIM_LEGACY_PHY=1``.
-
-    ``dcf_arena`` additionally requests the shared DCF contention arena
+    (:meth:`~repro.phy.channel.Channel.enable_batched`) plus the shared
+    DCF contention arena
     (:meth:`~repro.phy.channel.Channel.enable_arena`: coalescing timer
-    wheel + vectorized medium-edge resolution); honored only on top of
-    an active batched engine when every MAC is ``arena_safe``. The
-    scenario builder opts in unless ``MANETSIM_LEGACY_DCF=1``.
+    wheel + vectorized medium-edge resolution). The engine is honored
+    only when every MAC is ``batch_safe`` and PHY tracing is off, the
+    arena only on top of it when every MAC is ``arena_safe``. It
+    defaults to off so direct callers (unit tests that monkeypatch
+    ``Radio.begin_arrival``) keep the per-pair path; the scenario
+    builder turns it on for DCF runs without PHY tracing.
     """
     propagation = propagation if propagation is not None else TwoRayGround()
     params = radio_params if radio_params is not None else WAVELAN_914MHZ
-    mobility = MobilityManager(mobility_models, batch=batch_kinematics)
+    mobility = MobilityManager(mobility_models)
     mobility.perf = sim.perf
     mobility.profiler = sim.profiler
     channel = Channel(
@@ -93,7 +86,6 @@ def build_network(
         mobility,
         propagation,
         params,
-        fanout_cache=fanout_cache,
         position_quantum=position_quantum,
     )
     nodes: List[Node] = []
@@ -105,7 +97,6 @@ def build_network(
         node = Node(sim, i, radio, mac, routing)
         routing.node = node
         nodes.append(node)
-    if batched_phy:
-        if channel.enable_batched() and dcf_arena:
-            channel.enable_arena()
+    if batched_phy and channel.enable_batched():
+        channel.enable_arena()
     return Network(sim, nodes, channel, mobility)

@@ -79,8 +79,8 @@ class FlightRecorder:
     ):
         self.sim = sim
         self.trace = trace
-        #: Whether PHY arrival verdicts are traced (forces the legacy
-        #: per-pair arrival engine; see ``Channel.enable_batched``).
+        #: Whether PHY arrival verdicts are traced (forces the per-pair
+        #: arrival engine; see ``Channel.enable_batched``).
         self.trace_phy = trace_phy and trace
         self.sample = max(1, int(sample))
         #: Measured data packets injected by traffic sources.

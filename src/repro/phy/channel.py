@@ -112,12 +112,6 @@ class Channel:
     grid_threshold:
         Node count above which the spatial grid is used for candidate
         pruning instead of brute-force vectorized distances.
-    fanout_cache:
-        Memoize the eligible-receiver set and power vector per
-        ``(src, sample time)``, so the RTS/CTS/DATA/ACK burst of one
-        exchange computes geometry once. Positions are pure functions
-        of time (analytic trajectories), so the memo is exact — results
-        are bit-identical with the cache on or off.
     position_quantum:
         Geometry sample period (s). Transmissions sample node positions
         at ``floor(now / q) * q`` — the *position epoch* — instead of
@@ -134,7 +128,6 @@ class Channel:
         propagation: PropagationModel,
         params: RadioParams,
         grid_threshold: int = 128,
-        fanout_cache: bool = True,
         position_quantum: float = 0.0,
     ):
         if position_quantum < 0:
@@ -168,9 +161,11 @@ class Channel:
         self._pts_time = -1.0
         self._pts_x: Optional[list] = None
         self._pts_y: Optional[list] = None
-        self._fanout_cache = fanout_cache
         self._quantum = position_quantum
-        #: src id -> (sample time, eligible ids, powers aligned with them).
+        #: The fan-out memo: src id -> (sample time, fan-out targets), so
+        #: the RTS/CTS/DATA/ACK burst of one exchange computes geometry
+        #: once. Positions are pure functions of time (analytic
+        #: trajectories), so the memo is exact.
         self._memo: dict = {}
         #: Batched arrival engine (see :meth:`enable_batched`). Off by
         #: default: direct ``build_network`` users (unit tests that
@@ -293,11 +288,10 @@ class Channel:
         as ``(time, src_id, frame, duration, remote_shards)``. After
         this, every fan-out memo splits its target set: owned receivers
         are delivered locally through the normal batched paths, and the
-        set of foreign shards owning the remainder is recorded so the
-        shard driver can forward the transmission (the owning shard
-        recomputes the identical geometry and delivers via
-        :meth:`inject_remote`). Requires the batched engine — the
-        legacy per-pair path has no mask hook.
+        set of foreign shards owning the remainder is recorded. Island
+        plans never reach a foreign shard, so the shard engine treats a
+        non-empty outbox as a partition violation. Requires the batched
+        engine — the per-pair path has no mask hook.
         """
         if not self._batched:
             raise ConfigurationError(
@@ -308,42 +302,11 @@ class Channel:
         self._shard_outbox = outbox
         self._memo.clear()
 
-    def inject_remote(self, src_id: int, frame: Frame, duration: float) -> None:
-        """Deliver a foreign shard's transmission to local receivers.
-
-        Runs the identical memoized geometry for *src_id* (positions
-        are pure functions of time, so every shard computes the same
-        fan-out) and feeds the locally-owned slice through the batched
-        delivery path. The transmitting radio lives in another shard:
-        channel transmit counters and the sender's ``_transmit_done``
-        belong there, so neither happens here.
-        """
-        q = self._quantum
-        now = self.sim._now
-        tq = now if q <= 0.0 else int(now / q) * q
-        perf = self.perf
-        if self._fanout_cache:
-            hit = self._memo.get(src_id)
-            if hit is not None and hit[0] == tq:
-                targets = hit[1]
-                if perf is not None:
-                    perf.fanout_cache_hits += 1
-            else:
-                targets = self._build_targets_batched(src_id, tq)
-                self._memo[src_id] = (tq, targets)
-                if perf is not None:
-                    perf.fanout_cache_misses += 1
-        else:
-            targets = self._build_targets_batched(src_id, tq)
-            if perf is not None:
-                perf.fanout_cache_misses += 1
-        self._fan_out_batched(None, frame, duration, targets)
-
     def flush_phy_stats(self) -> None:
         """Fold batched-mode stat deltas into per-radio RadioStats.
 
         Must run before radio counters are read for metrics; a no-op
-        on the legacy path (stats are updated in place there).
+        on the per-pair path (stats are updated in place there).
         """
         if self._ledger is not None:
             self._ledger.flush(self.radios)
@@ -362,20 +325,17 @@ class Channel:
         src_id = src.node_id
         perf = self.perf
         batched = self._batched
-        build = self._build_targets_batched if batched else self._build_targets
-        if self._fanout_cache:
-            hit = self._memo.get(src_id)
-            if hit is not None and hit[0] == tq:
-                targets = hit[1]
-                if perf is not None:
-                    perf.fanout_cache_hits += 1
-            else:
-                targets = build(src_id, tq)
-                self._memo[src_id] = (tq, targets)
-                if perf is not None:
-                    perf.fanout_cache_misses += 1
+        hit = self._memo.get(src_id)
+        if hit is not None and hit[0] == tq:
+            targets = hit[1]
+            if perf is not None:
+                perf.fanout_cache_hits += 1
         else:
-            targets = build(src_id, tq)
+            if batched:
+                targets = self._build_targets_batched(src_id, tq)
+            else:
+                targets = self._build_targets(src_id, tq)
+            self._memo[src_id] = (tq, targets)
             if perf is not None:
                 perf.fanout_cache_misses += 1
         if batched:
@@ -440,9 +400,9 @@ class Channel:
         if owned is None:
             return _BatchTargets(ids[keep], pw[keep], self.params.rx_threshold)
         # Sharded: deliver locally only to owned receivers; remember
-        # which shards own the rest so the driver can forward border
-        # transmissions. The split happens at memo build time, so a
-        # static field pays it once per (src, epoch).
+        # which shards own the rest (the border tripwire). The split
+        # happens at memo build time, so a static field pays it once
+        # per (src, epoch).
         ids = ids[keep]
         pw = pw[keep]
         local = owned[ids]
@@ -571,12 +531,9 @@ class Channel:
         radios = self.radios
         now = self.sim._now
         out = self._shard_outbox
-        if out is not None and src is not None and mb.remote_shards:
+        if out is not None and mb.remote_shards:
             # Border transmission: foreign receivers were masked out of
-            # the memo; hand the frame to the shard driver for the
-            # owning shards to deliver. Injections (src None) never
-            # re-forward — the originating shard already reached every
-            # foreign shard directly.
+            # the memo; record it for the shard engine's tripwire.
             out.append((now, src.node_id, frame, duration, mb.remote_shards))
         hook = self.fault_hook
         keep = None
@@ -592,15 +549,12 @@ class Channel:
                 perf.phy_batch_arrivals += n
             if (
                 not led.active
-                and led.n_txing == (1 if src is not None else 0)
+                and led.n_txing == 1
                 and led.n_down == 0
             ):
                 # Quiet channel — the common case at the paper's
                 # densities: nothing else is on the air (the only
-                # transmitter is the source itself — which, for an
-                # injected remote transmission, lives in another shard
-                # and so contributes nothing to the local count),
-                # nobody is down,
+                # transmitter is the source itself), nobody is down,
                 # so every receiver is idle and every reception-rule
                 # mask collapses: all arrivals are added, and exactly
                 # the above-sensitivity ones decode.
@@ -799,7 +753,7 @@ class Channel:
                             # its own frame end (its arrival kept the
                             # medium busy, so it froze on the busy
                             # edge); the defensive fallback keeps the
-                            # exact legacy chain if it ever happens.
+                            # exact per-node chain if it ever happens.
                             s = mac._state
                             if nav_t is not None and nav_t > mac._nav:
                                 if s == 1:  # _WAIT_MEDIUM
@@ -889,8 +843,7 @@ class Channel:
             if perf is not None:
                 perf.mac_edges_dispatched += n_disp
                 perf.mac_edges_suppressed += n_supp
-            if src is not None:  # injected remote tx: sender is foreign
-                src._transmit_done(frame)
+            src._transmit_done(frame)
             return
         counts_l = led.counts[added].tolist() if active else None
         txing_l = led.txing[added].tolist()
@@ -932,5 +885,4 @@ class Channel:
                 mac = r.mac
                 if mac is not None:
                     mac.medium_changed()
-        if src is not None:  # injected remote tx: sender is foreign
-            src._transmit_done(frame)
+        src._transmit_done(frame)

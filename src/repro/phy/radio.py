@@ -81,7 +81,7 @@ class ArrivalLedger:
     and resolves a whole transmission fan-out with NumPy gathers and
     scatters. The per-receiver reception *rules* are unchanged; only
     their evaluation is batched, so outcomes are bit-identical with the
-    legacy per-pair path (``MANETSIM_LEGACY_PHY=1``).
+    per-pair path (which ``IdealMac`` and PHY-traced runs use).
 
     Stat deltas (collisions, capture, half-duplex, down-rx) accumulate
     in int arrays and are folded into each radio's :class:`RadioStats`
@@ -189,7 +189,7 @@ class Radio:
         self._rx: Optional[_Arrival] = None
         self._tx_end: Optional[float] = None
         #: Shared ArrivalLedger when the channel runs the batched
-        #: arrival engine; None selects the legacy per-pair path.
+        #: arrival engine; None selects the per-pair path.
         self._led: Optional[ArrivalLedger] = None
         #: Batched-mode decode state (the ledger's object-free analogue
         #: of ``_rx``): the frame being decoded and whether interference
@@ -200,7 +200,7 @@ class Radio:
         # the per-arrival `enabled("phy")` check collapses to a bool.
         self._trace_phy = sim.tracer.enabled("phy")
         # Flight recorder with PHY verdicts requested: frozen here like
-        # the tracer gate. Only the legacy per-pair arrival path emits
+        # the tracer gate. Only the per-pair arrival path emits
         # verdicts (the builder forces it when trace_phy is on).
         flight = sim.flight
         self._flight_phy = (
@@ -236,7 +236,7 @@ class Radio:
             if self._rx_frame is not None:
                 # The interference power of the dying decode stays in
                 # the ledger (the energy is still on the air); only the
-                # decode itself is lost, as in the legacy path.
+                # decode itself is lost, as on the per-pair path.
                 self._rx_frame = None
                 led.rx_power[self.node_id] = 0.0
 

@@ -13,7 +13,6 @@ the paper reports (Broch et al. convention).
 
 from __future__ import annotations
 
-import os
 from typing import Any, Optional
 
 from ..core.drops import DropReason
@@ -22,17 +21,7 @@ from ..core.simulator import Simulator
 from ..mac.base import MacLayer
 from ..net.packet import BROADCAST, PACKET_POOL, Packet, PacketKind
 
-__all__ = ["RoutingProtocol", "RoutingStats", "legacy_routing_enabled"]
-
-
-def legacy_routing_enabled() -> bool:
-    """Whether ``MANETSIM_LEGACY_ROUTING`` selects the reference paths.
-
-    Mirrors PR 1's ``MANETSIM_LEGACY_KINEMATICS`` discipline: the
-    optimized control plane is the default, and the A/B determinism
-    tests flip this knob to prove bit-identical metrics.
-    """
-    return os.environ.get("MANETSIM_LEGACY_ROUTING", "") not in ("", "0")
+__all__ = ["RoutingProtocol", "RoutingStats"]
 
 
 class RoutingStats:
@@ -101,8 +90,6 @@ class RoutingProtocol:
         #: agent neither processes arrivals nor counts control overhead
         #: (its timers still fire, but every send is suppressed).
         self.alive = True
-        #: Fast control-plane paths on (False under MANETSIM_LEGACY_ROUTING=1).
-        self._fast = not legacy_routing_enabled()
         #: Tracer categories are frozen at construction, so the "route"
         #: gate can be evaluated once instead of per packet.
         self._trace_route = sim.tracer.enabled("route")
@@ -214,10 +201,10 @@ class RoutingProtocol:
         """Build a control packet owned by this protocol.
 
         Broadcast control (floods, adverts, hellos) comes from the
-        packet pool on the fast path: such packets die at their own
-        transmit completion, so their shells are recyclable.
+        packet pool: such packets die at their own transmit completion,
+        so their shells are recyclable.
         """
-        if dst == BROADCAST and self._fast:
+        if dst == BROADCAST:
             return PACKET_POOL.acquire(
                 PacketKind.CONTROL,
                 self.NAME,

@@ -144,7 +144,7 @@ class Dsdv(RoutingProtocol):
         #: Own even sequence number, bumped at every advertisement.
         self.seq = 0
         self._trigger_pending = False
-        # Fast-path mirrors of the table: the serialized advert triples
+        # Mirrors of the table: the serialized advert triples
         # in table (insertion) order, a dst -> index map into them, and
         # the set of dsts with a pending changed flag. Dumps then reuse
         # the serialized list instead of re-walking the route objects.
@@ -234,9 +234,6 @@ class Dsdv(RoutingProtocol):
         self._changed.clear()
 
     def _broadcast_update(self, full: bool) -> None:
-        if not self._fast:
-            self._broadcast_update_legacy(full)
-            return
         if len(self._entries) != len(self.table):
             self._resync()
         self.seq += 2
@@ -263,28 +260,9 @@ class Dsdv(RoutingProtocol):
         pkt = self.make_control(_Advert(entries), size)
         self.send_control(pkt, BROADCAST)
 
-    def _broadcast_update_legacy(self, full: bool) -> None:
-        """Reference implementation (MANETSIM_LEGACY_ROUTING=1)."""
-        self.seq += 2
-        entries: List[Tuple[int, float, int]] = [(self.addr, 0.0, self.seq)]
-        for route in self.table.values():
-            if full or route.changed:
-                entries.append((route.dst, route.metric, route.seq))
-            route.changed = False
-        if not full and len(entries) == 1 and self.sim.now > 0:
-            # Nothing actually changed; suppress a pure self-advert
-            # trigger (the periodic dump will carry it).
-            return
-        size = HEADER_SIZE + ENTRY_SIZE * len(entries)
-        pkt = self.make_control(_Advert(entries), size)
-        self.send_control(pkt, BROADCAST)
-
     # -------------------------------------------------------------- receive
 
     def on_control(self, packet: Packet, prev_hop: int, rx_power: float) -> None:
-        if not self._fast:
-            self._on_control_legacy(packet, prev_hop, rx_power)
-            return
         # Hot path: a 100-node run processes tens of thousands of
         # adverts with ~N entries each. Local bindings and slot access
         # keep the per-entry cost down; the serialized mirrors are
@@ -398,48 +376,6 @@ class Dsdv(RoutingProtocol):
         if changed_any:
             self._schedule_trigger()
 
-    def _on_control_legacy(self, packet: Packet, prev_hop: int, rx_power: float) -> None:
-        """Reference implementation (MANETSIM_LEGACY_ROUTING=1)."""
-        advert: _Advert = packet.payload
-        changed_any = False
-        for dst, metric, seq in advert.entries:
-            if dst == self.addr:
-                # Someone advertises a route to us. If it carries an odd
-                # (broken) sequence, answer with a fresh even one so the
-                # network relearns the route quickly.
-                if seq % 2 == 1 and seq > self.seq:
-                    self.seq = seq + 1
-                    changed_any = True
-                continue
-            new_metric = metric + 1 if metric < INFINITY else INFINITY
-            cur = self.table.get(dst)
-            if cur is None:
-                if new_metric < INFINITY:
-                    self.table[dst] = DsdvRoute(dst, prev_hop, new_metric, seq, True)
-                    changed_any = True
-                continue
-            adopt = False
-            if seq > cur.seq:
-                # Newer information always wins — even a break (odd seq),
-                # but only believe breaks reported by our own next hop or
-                # carrying a newer sequence than our route.
-                adopt = True
-            elif seq == cur.seq and new_metric < cur.metric:
-                adopt = True
-            if adopt:
-                if not (
-                    cur.next_hop == prev_hop
-                    and cur.metric == new_metric
-                    and cur.seq == seq
-                ):
-                    changed_any = True
-                    cur.changed = True
-                cur.next_hop = prev_hop
-                cur.metric = new_metric
-                cur.seq = seq
-        if changed_any:
-            self._schedule_trigger()
-
     # ------------------------------------------------------------ data path
 
     def _lookup(self, dst: int) -> Optional[DsdvRoute]:
@@ -470,8 +406,7 @@ class Dsdv(RoutingProtocol):
 
     def link_failed(self, packet: Packet, next_hop: int) -> None:
         """Mark every route through *next_hop* broken (metric ∞, odd seq)."""
-        fast = self._fast
-        if fast and len(self._entries) != len(self.table):
+        if len(self._entries) != len(self.table):
             self._resync()
         broke = False
         for route in self.table.values():
@@ -480,17 +415,16 @@ class Dsdv(RoutingProtocol):
                 route.seq += 1  # odd: flagged by the destination's owner rule
                 route.changed = True
                 broke = True
-                if fast:
-                    i = self._epos.get(route.dst)
-                    if i is not None:
-                        self._entries[i] = (route.dst, INFINITY, route.seq)
-                    if route.dst < len(self._seq_by_dst):
-                        self._seq_by_dst[route.dst] = route.seq
-                        self._metric_by_dst[route.dst] = INFINITY
-                    if route.dst < len(self._seq_np):
-                        self._seq_np[route.dst] = route.seq
-                        self._met_np[route.dst] = INFINITY
-                    self._changed.add(route.dst)
+                i = self._epos.get(route.dst)
+                if i is not None:
+                    self._entries[i] = (route.dst, INFINITY, route.seq)
+                if route.dst < len(self._seq_by_dst):
+                    self._seq_by_dst[route.dst] = route.seq
+                    self._metric_by_dst[route.dst] = INFINITY
+                if route.dst < len(self._seq_np):
+                    self._seq_np[route.dst] = route.seq
+                    self._met_np[route.dst] = INFINITY
+                self._changed.add(route.dst)
         # Purge queued packets toward the dead neighbor: without a valid
         # route they would only burn retries. DSDV has no discovery to
         # fall back on, so the failed packet and every purged data

@@ -11,21 +11,20 @@ never existed. Measuring that trade is ablation A7.
 Drop-in replacement for :class:`~repro.routing.dsr.RouteCache` (same
 ``add`` / ``get`` / ``remove_link`` / ``purge_expired`` surface).
 
-Fast path (default; ``MANETSIM_LEGACY_ROUTING=1`` selects the reference
-implementation): one BFS tree is memoized and shared across
-destinations, invalidated by a structural epoch (link added, removed,
-or evicted) or by leaving its time-validity window ``[build time,
-earliest live-link expiry)``. Pure expiry *refreshes* of an existing
-link do not invalidate — the graph structure is unchanged. The result
-is one BFS per topology change instead of one per lookup.
+Lookups share one memoized BFS tree across destinations, invalidated
+by a structural epoch (link added, removed, evicted, or an expired link
+refreshed) or by leaving its time-validity window ``[build time,
+earliest live-link expiry)``. Pure expiry *refreshes* of a live link do
+not invalidate — the live graph is unchanged. The result is one BFS per
+topology change instead of one per lookup, with the same answers as a
+fresh per-query BFS (``tests/routing/reference.py`` holds that
+reference; a Hypothesis property compares the two).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-from .base import legacy_routing_enabled
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["LinkCache"]
 
@@ -49,7 +48,6 @@ class LinkCache:
         self.max_links = max_links
         #: (a, b) normalized with a < b  ->  expiry time.
         self._links: Dict[Tuple[int, int], float] = {}
-        self._fast = not legacy_routing_enabled()
         #: Structural epoch: bumped when the link *set* changes (add of a
         #: new link, removal, eviction, or an expiry purge that dropped
         #: something) — never on a pure refresh of an existing link.
@@ -89,6 +87,10 @@ class LinkCache:
                 self._mut += 1
             elif expiry > cur:
                 links[key] = expiry
+                if cur <= now:
+                    # An expired, unpurged link comes back to life: the
+                    # live graph changed, so the memoized tree is stale.
+                    self._mut += 1
         if len(links) > self.max_links:
             for key, _exp in sorted(links.items(), key=lambda kv: kv[1])[
                 : len(links) - self.max_links
@@ -103,7 +105,7 @@ class LinkCache:
     def purge_expired(self, now: float) -> None:
         """Drop dead links. Amortized: scans only once the earliest
         stored expiry has actually been passed."""
-        if self._fast and now < self._min_expiry:
+        if now < self._min_expiry:
             return
         before = len(self._links)
         self._links = {k: e for k, e in self._links.items() if e > now}
@@ -115,8 +117,6 @@ class LinkCache:
 
     def get(self, dst: int, now: float) -> Optional[Tuple[int, ...]]:
         """Shortest live path owner→dst over the link graph, or None."""
-        if not self._fast:
-            return self._get_legacy(dst, now)
         if dst == self.owner:
             return None
         if (
@@ -177,35 +177,3 @@ class LinkCache:
                         prev[v] = u
                         nxt.append(v)
             frontier = nxt
-
-    def _get_legacy(self, dst: int, now: float) -> Optional[Tuple[int, ...]]:
-        """Reference implementation (MANETSIM_LEGACY_ROUTING=1)."""
-        if dst == self.owner:
-            return None
-        adj: Dict[int, Set[int]] = {}
-        for (a, b), expiry in self._links.items():
-            if expiry > now:
-                adj.setdefault(a, set()).add(b)
-                adj.setdefault(b, set()).add(a)
-        if self.owner not in adj or dst not in adj:
-            return None
-        # BFS (all links weight 1), deterministic neighbor order.
-        prev: Dict[int, int] = {}
-        frontier = [self.owner]
-        seen = {self.owner}
-        while frontier:
-            nxt: List[int] = []
-            for u in frontier:
-                for v in sorted(adj.get(u, ())):
-                    if v not in seen:
-                        seen.add(v)
-                        prev[v] = u
-                        if v == dst:
-                            path = [dst]
-                            while path[-1] != self.owner:
-                                path.append(prev[path[-1]])
-                            path.reverse()
-                            return tuple(path)
-                        nxt.append(v)
-            frontier = nxt
-        return None

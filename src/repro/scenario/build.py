@@ -251,37 +251,27 @@ def build_scenario(
     partials can be merged in single-loop delivery order.
 
     ``flight_phy`` allows a ``cfg.flight_trace`` run to record PHY
-    arrival verdicts, which forces the legacy per-pair arrival engine;
-    the sharded engine passes False (it requires the batched engine)
-    and records the routing/MAC/queue legs of each flight only.
+    arrival verdicts, which forces the per-pair arrival engine; the
+    sharded engine passes False (it requires the batched engine) and
+    records the routing/MAC/queue legs of each flight only.
 
-    Setting ``MANETSIM_LEGACY_KINEMATICS=1`` selects the legacy per-node
-    position loop and disables the channel fan-out cache — the A/B
-    reference paths, which must produce bit-identical metrics.
-    ``MANETSIM_LEGACY_PHY=1`` likewise selects the per-pair arrival
-    path instead of the batched arrival engine (which is otherwise on
-    whenever the MAC is batch-safe, i.e. ``cfg.mac == "dcf"``).
-    ``MANETSIM_LEGACY_DCF=1`` keeps per-node DCF contention (heap
-    timers, per-MAC ``medium_changed`` callbacks) instead of the shared
-    contention arena that otherwise rides on the batched engine.
+    The MAC type and PHY tracing choose the engines: DCF runs use the
+    batched arrival engine and the shared DCF contention arena;
+    ``IdealMac`` and PHY-traced runs use the per-pair arrival path and
+    per-node contention.
     """
     import os
 
     from ..core.trace import Tracer
     from ..mac.frames import reset_frame_uids
     from ..net.packet import PACKET_POOL, reset_packet_uids
-    from ..routing.base import legacy_routing_enabled
 
-    legacy = os.environ.get("MANETSIM_LEGACY_KINEMATICS") == "1"
-    legacy_phy = os.environ.get("MANETSIM_LEGACY_PHY") == "1"
-    legacy_dcf = os.environ.get("MANETSIM_LEGACY_DCF") == "1"
     # Persistent sweep workers reuse one process for many runs: rewind
     # the uid sources so cached and fresh runs see identical sequences,
     # and re-arm the packet pool for this run (no cross-run sharing).
     reset_packet_uids(uid_base)
     reset_frame_uids(uid_base)
     PACKET_POOL.clear()
-    PACKET_POOL.enabled = not legacy_routing_enabled()
     tracer = Tracer(cfg.trace) if cfg.trace else None
     sim = Simulator(seed=cfg.run_seed, tracer=tracer)
     if cfg.profile:
@@ -313,15 +303,11 @@ def build_scenario(
         mac_factory=_mac_factory(cfg),
         propagation=propagation,
         radio_params=params,
-        batch_kinematics=not legacy,
-        fanout_cache=not legacy,
         position_quantum=cfg.position_quantum,
         batched_phy=(
-            not legacy_phy
-            and cfg.mac == "dcf"
+            cfg.mac == "dcf"
             and not (sim.flight is not None and sim.flight.trace_phy)
         ),
-        dcf_arena=not legacy_dcf,
     )
     if cfg.protocol == "oracle":
         for node in network.nodes:

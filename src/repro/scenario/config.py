@@ -8,7 +8,8 @@ DESIGN.md)*: 50 nodes in 1500 m × 300 m, random waypoint at up to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
 from ..core.errors import ConfigurationError
@@ -121,11 +122,18 @@ class ScenarioConfig:
     #: Off by default: ``sim.flight`` stays None and no hook fires.
     flight: bool = False
     #: Additionally record the per-packet causal event trace (implies
-    #: ``flight``); PHY arrival verdicts force the legacy per-pair
-    #: arrival engine in single-process runs.
+    #: ``flight``); PHY arrival verdicts force the per-pair arrival
+    #: engine in single-process runs.
     flight_trace: bool = False
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigurationError(
+                        f"{f.name} must be finite, got {value!r}"
+                    )
         if self.protocol not in PROTOCOLS:
             raise ConfigurationError(
                 f"unknown protocol {self.protocol!r}; choose from {PROTOCOLS}"

@@ -6,13 +6,11 @@ the rest inert "ghosts" kept for geometry). Radio-disjoint strips
 (island plans — the partitioner prefers cuts at axis gaps wider than
 the carrier-sense reach) free-run in parallel and merge to a
 :class:`~repro.stats.metrics.MetricsSummary` bit-identical to the
-single event loop for any shard count. Radio-coupled cuts fall back to
-the single loop by default; ``MANETSIM_SHARD_COUPLED=1`` opts into the
-conservative lookahead driver, which exchanges border transmissions
-through a deterministic ``(time, src)``-ordered message layer — exact
-in timing, but cross-shard backoff-slot ties may resolve differently
-from the single loop (see :mod:`repro.shard.engine`). See DESIGN.md
-"Sharded engine" for the full safety argument.
+single event loop for any shard count. Radio-coupled fields run on the
+single loop: a split could not be bit-identical, because cross-shard
+backoff-slot ties would resolve differently (see
+:mod:`repro.shard.engine`). See DESIGN.md "Sharded engine" for the
+full safety argument.
 """
 
 from .engine import ShardError, ShardUnsupported, run_sharded

@@ -1,4 +1,4 @@
-"""The sharded run drivers: build-and-mute workers, conservative sync.
+"""The sharded runner: build-and-mute workers on island plans.
 
 Every shard builds the *full* scenario from the shared seed — identical
 RNG draws, identical geometry, every node object present — then
@@ -9,56 +9,38 @@ at fan-out build time keeps them out of every delivery set), and their
 stats stay zero, but their positions feed the channel geometry so
 every shard computes bit-identical fan-outs.
 
-Synchronization is conservative and centrally scheduled:
+Only **island** plans run sharded: the plan must prove the strips
+radio-disjoint (:attr:`ShardPlan.island`), so no transmission can ever
+cross a cut and each shard free-runs the whole duration independently
+(one worker process per shard). The merged summary is **bit-identical**
+to the single event loop (pinned in
+``tests/scenario/test_determinism.py``): per-shard uid blocks keep
+packet/frame uids globally unique, and delivery records merge back
+into single-loop order (see :mod:`repro.stats.metrics`). An armed
+border outbox stays attached as a tripwire — any transmission that
+reaches a foreign shard is a partitioner bug and raises
+:class:`ShardError`.
 
-* **Island mode** — when the plan proves the strips radio-disjoint
-  (:attr:`ShardPlan.island`), no transmission can ever cross a cut and
-  each shard free-runs the whole duration independently. This is the
-  embarrassingly-parallel case (one worker process per shard), and the
-  only mode whose merged summary is **bit-identical** to the single
-  event loop (pinned in ``tests/scenario/test_determinism.py``):
-  per-shard uid blocks keep packet/frame uids globally unique, and
-  delivery records merge back into single-loop order (see
-  :mod:`repro.stats.metrics`). An armed border outbox stays attached
-  as a tripwire — any transmission that reaches a foreign shard in
-  island mode is a partitioner bug and raises :class:`ShardError`.
-* **Coupled mode** (opt-in: ``MANETSIM_SHARD_COUPLED=1``) — when cuts
-  cross a radio-connected region, the driver advances the shard with
-  the globally earliest event up to (exclusively) the next other
-  shard's event time, collecting border transmissions. A shard that
-  emits one is parked at the emission timestamp: receivers react no
-  earlier than the frame edges that follow (the MAC-turnaround
-  lookahead — SIFS at minimum; propagation inside the carrier-sense
-  range is synchronous), so injecting at the stamped time into shards
-  whose clocks have not passed it preserves causality. Ties (several
-  shards sharing the minimum) run one timestamp in lockstep. Messages
-  are injected in ``(time, src node id)`` order — unique per
-  transmission and independent of the shard count — so a given shard
-  count is **deterministic**, but the result is *not* bit-identical to
-  the single loop: 802.11 backoffs are slot-quantized, so independent
-  nodes' timers expire at exactly equal timestamps, and whether a
-  transmission at *t* freezes a rival's backoff expiring at the same
-  *t* depends on global event-seq order — state that lives only in the
-  single loop's one queue. Cross-shard ties therefore resolve both
-  contenders as transmitting (both counted down on an idle medium),
-  a valid 802.11 outcome but not always the single loop's pick.
-  Without the opt-in, coupled plans raise :class:`ShardUnsupported`
-  and ``run_scenario`` falls back to the single loop.
+Radio-coupled fields raise :class:`ShardUnsupported` and
+``run_scenario`` runs them on the single loop. Splitting them cannot be
+bit-identical: 802.11 backoffs are slot-quantized, so independent
+nodes' timers expire at exactly equal timestamps, and whether a
+transmission at *t* freezes a rival's backoff expiring at the same *t*
+depends on global event-seq order — state that lives only in the single
+loop's one queue.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
 import os
 import traceback
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..core.errors import ConfigurationError, SimulationError
 from ..core.rng import RngStreams
-from ..mac.frames import Dot11
 from ..phy.propagation import WAVELAN_914MHZ
 from ..stats.metrics import MetricsSummary, merge_shard_partials
 from .partition import ShardPlan, make_plan
@@ -67,7 +49,6 @@ __all__ = [
     "ShardError",
     "ShardUnsupported",
     "run_sharded",
-    "shard_lookahead",
 ]
 
 
@@ -80,19 +61,6 @@ class ShardUnsupported(ShardError):
     single loop (``run_scenario`` does unless ``MANETSIM_SHARD_STRICT=1``)."""
 
 
-def shard_lookahead() -> float:
-    """Conservative cross-shard lookahead (s).
-
-    Minimum propagation delay (0: arrivals inside the carrier-sense
-    range are synchronous — < 2 µs is not modelled) plus the MAC
-    turnaround (SIFS): no shard can *react* to a border transmission
-    sooner than this after its stamped start, and no new transmission
-    can begin within the same instant (batch-safe MACs never transmit
-    from a delivery or carrier-edge callback).
-    """
-    return Dot11.SIFS
-
-
 def _check_config(cfg) -> None:
     """Raise :class:`ShardUnsupported` for configs the engine can't split."""
     if cfg.mobility != "static":
@@ -102,9 +70,6 @@ def _check_config(cfg) -> None:
         )
     if cfg.mac != "dcf":
         raise ShardUnsupported("sharded runs require mac='dcf' (batched PHY)")
-    if os.environ.get("MANETSIM_LEGACY_PHY") == "1":
-        raise ShardUnsupported("MANETSIM_LEGACY_PHY=1 disables the batched "
-                               "engine the shard mask hooks into")
     if cfg.faults is not None:
         raise ShardUnsupported("fault plans are not shard-aware yet")
     if cfg.trace:
@@ -147,30 +112,19 @@ class _ShardWorker:
     """One shard: a fully built scenario with only owned nodes active."""
 
     def __init__(self, cfg, plan: ShardPlan, shard_id: int):
-        import repro.mac.frames as frames_mod
-        import repro.net.packet as packet_mod
-
-        self._frames_mod = frames_mod
-        self._packet_mod = packet_mod
-        self.cfg = cfg
-        self.plan = plan
         self.shard_id = shard_id
         stream = os.environ.get("MANETSIM_STREAM_STATS") == "1"
         from ..scenario.build import build_scenario
 
         # Disjoint uid blocks per shard: delivery dedup keys on
         # origin_uid, and cross-shard packet copies preserve it.
-        # flight_phy=False: PHY verdict tracing forces the legacy
+        # flight_phy=False: PHY verdict tracing forces the per-pair
         # arrival engine, which shards cannot use; drop accounting and
         # routing/MAC trace events still work per shard.
         self.scenario = build_scenario(
             cfg, uid_base=shard_id << 48, record_times=not stream,
             flight_phy=False,
         )
-        # Capture this shard's uid counters so the inline driver can
-        # swap them in when interleaving shards within one process.
-        self._pkt_counter = packet_mod.packet_uid_counter
-        self._frm_counter = frames_mod._frame_uid
         channel = self.scenario.network.channel
         if not channel._batched:
             raise ShardUnsupported(
@@ -186,14 +140,8 @@ class _ShardWorker:
         self.sim = self.scenario.sim
         self.duration = cfg.duration
 
-    def activate(self) -> None:
-        """Swap this shard's uid counters into the shared modules."""
-        self._packet_mod.packet_uid_counter = self._pkt_counter
-        self._frames_mod._frame_uid = self._frm_counter
-
     def start(self) -> None:
         """Start routing agents and traffic sources of owned nodes only."""
-        self.activate()
         mask = self.owned_mask
         for node in self.scenario.network.nodes:
             if mask[node.node_id]:
@@ -204,58 +152,13 @@ class _ShardWorker:
             if mask[src.node.node_id]:
                 src.begin()
 
-    def next_time(self) -> Optional[float]:
-        return self.sim._queue.peek_time()
-
-    def run_at(self, t: float) -> list:
-        """Process every event at time <= *t*; drain border messages."""
-        self.activate()
-        self.sim.run(until=t)
-        return self._drain()
-
-    def run_window(self, hi: float) -> list:
-        """Process events strictly before *hi*, parking early at the
-        first timestamp that emits a border transmission (receivers
-        must be injected before this shard outruns their reactions)."""
-        self.activate()
-        sim = self.sim
-        queue = sim._queue
-        duration = self.duration
-        outbox = self.outbox
-        while True:
-            nt = queue.peek_time()
-            if nt is None or nt >= hi or nt > duration:
-                break
-            sim.run(until=nt)
-            if outbox:
-                break
-        return self._drain()
-
-    def _drain(self) -> list:
-        if not self.outbox:
-            return []
-        msgs = self.outbox[:]
-        self.outbox.clear()
-        return msgs
-
-    def inject(self, t: float, src_id: int, frame, duration: float) -> None:
-        """Queue a foreign border transmission for delivery at *t*."""
-        self.sim.schedule_at(t, self.channel.inject_remote, src_id, frame,
-                             duration)
-
-    def run_full(self) -> None:
-        """Island mode: free-run the whole duration, no synchronization."""
-        self.activate()
-        self.sim.run(until=self.duration)
-
-    def finish(self):
-        """Advance to the duration mark and export (partial, perf)."""
-        self.activate()
+    def run(self):
+        """Free-run the whole duration; export ``(partial, perf)``."""
+        self.start()
         self.sim.run(until=self.duration)
         if self.outbox:
-            # Every border message is drained by the coupled driver and
-            # island plans must never produce one: anything left here
-            # means a transmission escaped its shard unobserved.
+            # Island plans must never produce a border message: one
+            # here means a transmission escaped its shard.
             raise ShardError(
                 f"shard {self.shard_id}: {len(self.outbox)} undelivered "
                 f"border message(s) at finish — partition violated "
@@ -274,122 +177,19 @@ class _ShardWorker:
 # ---------------------------------------------------------------- drivers
 
 
-class _InlineHandle:
-    """Driver-facing adapter over an in-process worker."""
-
-    def __init__(self, worker: _ShardWorker):
-        self.worker = worker
-
-    def poll(self) -> Optional[float]:
-        return self.worker.next_time()
-
-    def run_at(self, t: float) -> list:
-        return self.worker.run_at(t)
-
-    def run_window(self, hi: float) -> list:
-        return self.worker.run_window(hi)
-
-    def inject(self, t, src_id, frame, duration) -> None:
-        self.worker.inject(t, src_id, frame, duration)
-
-    def finish(self):
-        return self.worker.finish()
-
-
-def _drive(handles: list, duration: float) -> None:
-    """The conservative scheduler (see the module docstring).
-
-    Loop invariant: every handle has processed all events strictly
-    before the global minimum pending time, and no shard's clock is
-    ahead of any message it might still receive.
-    """
-    hi_cap = math.nextafter(duration, math.inf)
-    while True:
-        times = [h.poll() for h in handles]
-        live = [
-            (t, i) for i, t in enumerate(times)
-            if t is not None and t <= duration
-        ]
-        if not live:
-            return
-        m1 = min(t for t, _ in live)
-        actives = [i for t, i in live if t == m1]
-        rest = [t for t, _ in live if t > m1]
-        m2 = min(rest) if rest else math.inf
-        if len(actives) == 1 and m2 > m1:
-            # Single-front fast path: the leading shard may run up to
-            # (exclusively) the next other shard's event time — parked
-            # shards cannot act before m2, and the worker parks itself
-            # at any border emission so receivers are injected before
-            # it outruns their reactions.
-            msgs = handles[actives[0]].run_window(min(m2, hi_cap))
-        else:
-            # Timestamp tie: run exactly this instant everywhere, then
-            # exchange (injected events land behind the local ones at
-            # the same instant, matching barrier injection semantics).
-            msgs = []
-            for i in actives:
-                msgs.extend(handles[i].run_at(m1))
-        if msgs:
-            # (time, src node id) is unique per transmission and
-            # independent of the shard count — the deterministic
-            # injection order.
-            msgs.sort(key=lambda m: (m[0], m[1]))
-            for t, src_id, frame, dur, shards in msgs:
-                for s in shards:
-                    handles[s].inject(t, src_id, frame, dur)
-
-
 def _run_inline(cfg, plan: ShardPlan) -> list:
-    if plan.island:
-        # Radio-disjoint strips, one process: run shards one at a time
-        # to completion — bounds peak memory at a single build.
-        results = []
-        for s in range(plan.n_shards):
-            worker = _ShardWorker(cfg, plan, s)
-            worker.start()
-            worker.run_full()
-            results.append(worker.finish())
-            del worker
-        return results
-    workers = [_ShardWorker(cfg, plan, s) for s in range(plan.n_shards)]
-    for w in workers:
-        w.start()
-    handles = [_InlineHandle(w) for w in workers]
-    _drive(handles, cfg.duration)
-    return [h.finish() for h in handles]
+    # One process: run shards one at a time to completion — bounds
+    # peak memory at a single build.
+    return [_ShardWorker(cfg, plan, s).run() for s in range(plan.n_shards)]
 
 
 # ------------------------------------------------------------- processes
 
 
 def _shard_child(conn, cfg, plan, shard_id) -> None:
-    """Worker-process main loop: build, then serve driver commands."""
+    """Worker-process main: build, free-run, send ``(partial, perf)``."""
     try:
-        worker = _ShardWorker(cfg, plan, shard_id)
-        worker.start()
-        conn.send(("ok", worker.next_time()))
-        while True:
-            cmd = conn.recv()
-            op = cmd[0]
-            if op == "run_at":
-                msgs = worker.run_at(cmd[1])
-                conn.send(("ok", (worker.next_time(), msgs)))
-            elif op == "run_window":
-                msgs = worker.run_window(cmd[1])
-                conn.send(("ok", (worker.next_time(), msgs)))
-            elif op == "inject":
-                worker.inject(*cmd[1:])
-                conn.send(("ok", worker.next_time()))
-            elif op == "run_full":
-                worker.run_full()
-                conn.send(("ok", worker.finish()))
-                return
-            elif op == "finish":
-                conn.send(("ok", worker.finish()))
-                return
-            else:  # pragma: no cover - driver bug
-                raise ShardError(f"unknown shard command {op!r}")
+        conn.send(("ok", _ShardWorker(cfg, plan, shard_id).run()))
     except BaseException:
         try:
             conn.send(("err", traceback.format_exc()))
@@ -400,11 +200,7 @@ def _shard_child(conn, cfg, plan, shard_id) -> None:
 
 
 class _ProcessHandle:
-    """Driver-facing adapter over a worker process (Pipe RPC).
-
-    Caches the child's next-event time from each response so the
-    driver's poll loop costs no IPC.
-    """
+    """Driver-facing adapter over a worker process (Pipe RPC)."""
 
     def __init__(self, ctx, cfg, plan, shard_id):
         self.shard_id = shard_id
@@ -415,9 +211,8 @@ class _ProcessHandle:
         )
         self.proc.start()
         child_conn.close()
-        self._next = self._recv()  # build handshake
 
-    def _recv(self):
+    def collect(self):
         try:
             status, payload = self.conn.recv()
         except EOFError:
@@ -427,36 +222,9 @@ class _ProcessHandle:
             )
         if status != "ok":
             raise ShardError(f"shard {self.shard_id} failed:\n{payload}")
-        return payload
-
-    def poll(self) -> Optional[float]:
-        return self._next
-
-    def run_at(self, t: float) -> list:
-        self.conn.send(("run_at", t))
-        self._next, msgs = self._recv()
-        return msgs
-
-    def run_window(self, hi: float) -> list:
-        self.conn.send(("run_window", hi))
-        self._next, msgs = self._recv()
-        return msgs
-
-    def inject(self, t, src_id, frame, duration) -> None:
-        self.conn.send(("inject", t, src_id, frame, duration))
-        self._next = self._recv()
-
-    def start_full(self) -> None:
-        self.conn.send(("run_full",))
-
-    def finish_request(self) -> None:
-        self.conn.send(("finish",))
-
-    def collect(self):
-        result = self._recv()
         self.proc.join()
         self.conn.close()
-        return result
+        return payload
 
     def kill(self) -> None:
         if self.proc.is_alive():
@@ -470,14 +238,7 @@ def _run_process(cfg, plan: ShardPlan) -> list:
         _ProcessHandle(ctx, cfg, plan, s) for s in range(plan.n_shards)
     ]
     try:
-        if plan.island:
-            # Free-run every shard concurrently — the parallel payoff.
-            for h in handles:
-                h.start_full()
-        else:
-            _drive(handles, cfg.duration)
-            for h in handles:
-                h.finish_request()
+        # Every shard free-runs concurrently — the parallel payoff.
         return [h.collect() for h in handles]
     finally:
         for h in handles:
@@ -495,15 +256,13 @@ def run_sharded(
     ``exec_mode`` (default from ``MANETSIM_SHARD_EXEC``, then "auto"):
 
     * ``"process"`` — one worker process per shard.
-    * ``"inline"`` — all shards multiplexed in this process (no
-      parallelism; useful for determinism testing and as the coupled-
-      field default, where per-event synchronization would drown a
-      process pool in IPC).
-    * ``"auto"`` — "process" for island plans, "inline" otherwise.
+    * ``"inline"`` — the shards one after another in this process (no
+      parallelism; useful for determinism testing).
+    * ``"auto"`` — same as "process".
 
     Raises :class:`ShardUnsupported` for configs the engine cannot
     split (non-static mobility, faults, tracing, profiling, telemetry,
-    non-DCF MACs, legacy PHY).
+    non-DCF MACs, radio-coupled fields).
     """
     if n_shards < 2:
         raise ShardError(f"run_sharded needs n_shards >= 2, got {n_shards}")
@@ -514,25 +273,22 @@ def run_sharded(
         plan = make_plan(positions, n_shards, reach, cfg.field_size)
     except ConfigurationError as exc:
         raise ShardUnsupported(str(exc)) from exc
-    if not plan.island and os.environ.get("MANETSIM_SHARD_COUPLED") != "1":
+    if not plan.island:
         raise ShardUnsupported(
             f"no {n_shards}-way radio-disjoint split exists (closest "
             f"cross-shard pair {plan.min_cross_gap:.1f} m <= reach "
             f"{plan.reach:.1f} m): cross-shard backoff-slot ties would "
-            f"resolve differently from the single loop; set "
-            f"MANETSIM_SHARD_COUPLED=1 for the conservative coupled mode "
-            f"(deterministic, but not bit-identical)"
+            f"resolve differently from the single loop, so coupled "
+            f"fields run on the single loop"
         )
     mode = exec_mode or os.environ.get("MANETSIM_SHARD_EXEC") or "auto"
     if mode not in ("auto", "inline", "process"):
         raise ShardError(
             f"MANETSIM_SHARD_EXEC must be auto|inline|process, got {mode!r}"
         )
-    if mode == "auto":
-        mode = "process" if plan.island else "inline"
     results = (
-        _run_process(cfg, plan) if mode == "process" else
-        _run_inline(cfg, plan)
+        _run_inline(cfg, plan) if mode == "inline" else
+        _run_process(cfg, plan)
     )
     partials = [r[0] for r in results]
     summary = merge_shard_partials(cfg.protocol, cfg.duration, partials)

@@ -1,16 +1,18 @@
-"""Determinism guarantees of the vectorized hot-path engine.
+"""Determinism guarantees of the engines.
 
-The batch kinematics / fan-out cache machinery is an *optimization*,
-never a model change: with the same seed, the vectorized engine and the
-legacy per-node paths (``MANETSIM_LEGACY_KINEMATICS=1``) must produce
-bit-identical metrics, and the batch ``positions(t)`` evaluation must
-match every mobility model's scalar ``position(t)``.
+Two layers keep two engines each, chosen by the MAC type and PHY
+tracing: the batched PHY arrival engine vs the per-pair path, and the
+shared DCF contention arena vs per-node contention. Both pairs must
+produce bit-identical metrics for the same seed. The tests here select
+the per-pair / per-node engine by patching ``Channel.enable_batched`` /
+``Channel.enable_arena`` to refuse, and compare against the default.
 
-The same discipline covers the routing control-plane fast path
-(``MANETSIM_LEGACY_ROUTING=1`` selects the reference implementations)
-and the batched PHY arrival engine (``MANETSIM_LEGACY_PHY=1`` selects
-the per-pair reference reception path).
+The batch ``positions(t)`` evaluation must match every mobility
+model's scalar ``position(t)``; the golden corpus (``tests/golden``)
+pins whole-run results.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from repro.mobility import (
     StaticPosition,
     make_groups,
 )
+from repro.phy.channel import Channel
 from repro.scenario import ScenarioConfig, run_scenario
 
 SMALL = dict(
@@ -49,59 +52,19 @@ MODEL_KINDS = [
 ]
 
 
-@pytest.mark.parametrize("protocol", ["aodv", "dsr"])
-def test_vectorized_matches_legacy_end_to_end(protocol, monkeypatch):
-    """Full-scenario A/B: vectorized vs legacy engine, same seed."""
-    cfg = ScenarioConfig(protocol=protocol, seed=7, **SMALL)
-
-    monkeypatch.delenv("MANETSIM_LEGACY_KINEMATICS", raising=False)
-    fast = run_scenario(cfg)
-    monkeypatch.setenv("MANETSIM_LEGACY_KINEMATICS", "1")
-    legacy = run_scenario(cfg)
-
-    # The knob actually flipped the engine (perf counters are excluded
-    # from summary equality, so this distinguishes the two runs).
-    assert fast.perf["batch_position_evals"] > 0
-    assert legacy.perf["batch_position_evals"] == 0
-    assert fast.perf["fanout_cache_hits"] > 0
-    assert legacy.perf["fanout_cache_hits"] == 0
-
-    # Bit-identical results: whole summary and every per-flow delay.
-    assert fast == legacy
-    assert set(fast.flows) == set(legacy.flows)
-    for fid, flow in fast.flows.items():
-        assert flow.delays == legacy.flows[fid].delays
+def per_pair_phy():
+    """Run the per-pair arrival path (and so per-node contention too:
+    the arena rides on the batched engine)."""
+    return mock.patch.object(Channel, "enable_batched", lambda self: False)
 
 
-@pytest.mark.parametrize("protocol", ["aodv", "dsr", "dsdv", "cbrp"])
-def test_routing_fast_path_matches_legacy(protocol, monkeypatch):
-    """Full-scenario A/B: routing fast path vs legacy, same seed.
-
-    The control-plane fast path (incremental DSDV dumps, LinkCache
-    memoization, seen-set dedup, packet pooling) must be invisible in
-    the results: only perf counters may differ between the two runs.
-    """
-    cfg = ScenarioConfig(protocol=protocol, seed=7, **SMALL)
-
-    monkeypatch.delenv("MANETSIM_LEGACY_ROUTING", raising=False)
-    fast = run_scenario(cfg)
-    monkeypatch.setenv("MANETSIM_LEGACY_ROUTING", "1")
-    legacy = run_scenario(cfg)
-
-    # The knob actually flipped the path: the pool only reclaims
-    # broadcast control packets on the fast path.
-    assert fast.perf["packets_pooled"] > 0
-    assert legacy.perf["packets_pooled"] == 0
-
-    # Bit-identical results: whole summary and every per-flow delay.
-    assert fast == legacy
-    assert set(fast.flows) == set(legacy.flows)
-    for fid, flow in fast.flows.items():
-        assert flow.delays == legacy.flows[fid].delays
+def per_node_dcf():
+    """Run per-node DCF contention on top of the batched PHY engine."""
+    return mock.patch.object(Channel, "enable_arena", lambda self: False)
 
 
 @pytest.mark.parametrize("protocol", ["aodv", "dsr", "dsdv", "cbrp", "paodv"])
-def test_batched_phy_matches_legacy(protocol, monkeypatch):
+def test_batched_phy_matches_legacy(protocol):
     """Full-scenario A/B: batched arrival engine vs per-pair, same seed.
 
     The batched engine resolves a transmission's whole fan-out in one
@@ -112,12 +75,11 @@ def test_batched_phy_matches_legacy(protocol, monkeypatch):
     """
     cfg = ScenarioConfig(protocol=protocol, seed=7, **SMALL)
 
-    monkeypatch.delenv("MANETSIM_LEGACY_PHY", raising=False)
     fast = run_scenario(cfg)
-    monkeypatch.setenv("MANETSIM_LEGACY_PHY", "1")
-    legacy = run_scenario(cfg)
+    with per_pair_phy():
+        legacy = run_scenario(cfg)
 
-    # The knob actually flipped the engine.
+    # The patch actually flipped the engine.
     assert fast.perf["phy_batch_arrivals"] > 0
     assert fast.perf["phy_legacy_arrivals"] == 0
     assert legacy.perf["phy_batch_arrivals"] == 0
@@ -131,26 +93,22 @@ def test_batched_phy_matches_legacy(protocol, monkeypatch):
 
 
 @pytest.mark.parametrize("protocol", ["aodv", "dsr", "dsdv", "cbrp", "paodv"])
-def test_dcf_arena_matches_legacy(protocol, monkeypatch):
+def test_dcf_arena_matches_legacy(protocol):
     """Full-scenario A/B: contention arena vs per-node DCF, same seed.
 
     The arena moves DCF's waiting-state machine onto shared arrays, a
     coalescing timer wheel, and batched medium-edge verdicts; the
-    legacy path (``MANETSIM_LEGACY_DCF=1``) keeps per-node timers and
-    ``medium_changed`` callbacks. Identical protocol, different
-    dispatch machinery — results must be bit-identical everywhere.
+    per-node path keeps per-node timers and ``medium_changed``
+    callbacks. Identical protocol, different dispatch machinery —
+    results must be bit-identical everywhere.
     """
     cfg = ScenarioConfig(protocol=protocol, seed=7, **SMALL)
 
-    # The arena rides the batched PHY engine, so both sides of this
-    # A/B must run it even on the all-legacy CI leg.
-    monkeypatch.delenv("MANETSIM_LEGACY_PHY", raising=False)
-    monkeypatch.delenv("MANETSIM_LEGACY_DCF", raising=False)
     fast = run_scenario(cfg)
-    monkeypatch.setenv("MANETSIM_LEGACY_DCF", "1")
-    legacy = run_scenario(cfg)
+    with per_node_dcf():
+        legacy = run_scenario(cfg)
 
-    # The knob actually flipped the engine: only the arena routes DCF
+    # The patch actually flipped the engine: only the arena routes DCF
     # timers through the shared wheel.
     assert fast.perf["mac_timer_events"] > 0
     assert legacy.perf["mac_timer_events"] == 0
@@ -172,10 +130,8 @@ def test_dcf_arena_vector_paths_match_legacy(monkeypatch):
 
     cfg = ScenarioConfig(protocol="aodv", seed=7, **SMALL)
 
-    monkeypatch.delenv("MANETSIM_LEGACY_PHY", raising=False)
-    monkeypatch.setenv("MANETSIM_LEGACY_DCF", "1")
-    legacy = run_scenario(cfg)
-    monkeypatch.delenv("MANETSIM_LEGACY_DCF", raising=False)
+    with per_node_dcf():
+        legacy = run_scenario(cfg)
     monkeypatch.setattr(arena_mod, "_SCALAR_CUTOFF", 0)
     monkeypatch.setattr(ContentionArena, "scalar_cutoff", 0)
     vector = run_scenario(cfg)
@@ -189,7 +145,7 @@ def test_dcf_arena_vector_paths_match_legacy(monkeypatch):
 class TestFaultDeterminism:
     """Fault injection must not disturb the determinism contract."""
 
-    def test_faulted_dcf_arena_matches_legacy(self, monkeypatch):
+    def test_faulted_dcf_arena_matches_legacy(self):
         # Node crashes tear radios out of the air mid-reservation and
         # the fault hook filters fan-outs — the arena's wheel timers
         # and shared arrays must shrug all of it off bit-identically.
@@ -201,11 +157,9 @@ class TestFaultDeterminism:
                                    link_loss=0.08),
             **SMALL,
         )
-        monkeypatch.delenv("MANETSIM_LEGACY_PHY", raising=False)
-        monkeypatch.delenv("MANETSIM_LEGACY_DCF", raising=False)
         fast = run_scenario(cfg)
-        monkeypatch.setenv("MANETSIM_LEGACY_DCF", "1")
-        legacy = run_scenario(cfg)
+        with per_node_dcf():
+            legacy = run_scenario(cfg)
 
         assert fast.fault_crashes > 0
         assert fast.perf["mac_timer_events"] > 0
@@ -214,10 +168,10 @@ class TestFaultDeterminism:
         for fid, flow in fast.flows.items():
             assert flow.delays == legacy.flows[fid].delays
 
-    def test_faulted_batched_phy_matches_legacy(self, monkeypatch):
+    def test_faulted_batched_phy_matches_legacy(self):
         # The fault hook filters a fan-out *after* the geometry memo,
         # in deterministic target order, on both engines — so a faulted
-        # run must stay bit-identical across the PHY A/B knob too.
+        # run must stay bit-identical across the two PHY engines too.
         from repro.faults.plan import FaultPlanConfig
 
         cfg = ScenarioConfig(
@@ -226,10 +180,9 @@ class TestFaultDeterminism:
                                    link_loss=0.08),
             **SMALL,
         )
-        monkeypatch.delenv("MANETSIM_LEGACY_PHY", raising=False)
         fast = run_scenario(cfg)
-        monkeypatch.setenv("MANETSIM_LEGACY_PHY", "1")
-        legacy = run_scenario(cfg)
+        with per_pair_phy():
+            legacy = run_scenario(cfg)
 
         assert fast.fault_crashes > 0
         assert fast.perf["phy_batch_arrivals"] > 0
@@ -383,15 +336,12 @@ class TestObservabilityDeterminism:
 )
 @settings(max_examples=10, deadline=None)
 def test_batched_phy_property_random_topologies(n_nodes, seed, protocol):
-    """Property: batched ≡ legacy PHY on arbitrary small topologies.
+    """Property: batched ≡ per-pair PHY on arbitrary small topologies.
 
     Hypothesis drives node count, seed, and protocol; every example
     must produce bit-identical summaries and per-flow delay lists
-    across the engine knob. ``os.environ`` is restored in a finally so
-    a failing example cannot leak the legacy knob into later tests.
+    across the two engines.
     """
-    import os
-
     cfg = ScenarioConfig(
         protocol=protocol,
         n_nodes=n_nodes,
@@ -401,16 +351,9 @@ def test_batched_phy_property_random_topologies(n_nodes, seed, protocol):
         traffic_start_window=(0.0, 2.0),
         seed=seed,
     )
-    saved = os.environ.pop("MANETSIM_LEGACY_PHY", None)
-    try:
-        fast = run_scenario(cfg)
-        os.environ["MANETSIM_LEGACY_PHY"] = "1"
+    fast = run_scenario(cfg)
+    with per_pair_phy():
         legacy = run_scenario(cfg)
-    finally:
-        if saved is None:
-            os.environ.pop("MANETSIM_LEGACY_PHY", None)
-        else:
-            os.environ["MANETSIM_LEGACY_PHY"] = saved
 
     assert fast.perf["phy_batch_arrivals"] > 0
     assert legacy.perf["phy_batch_arrivals"] == 0
@@ -427,15 +370,12 @@ def test_batched_phy_property_random_topologies(n_nodes, seed, protocol):
 )
 @settings(max_examples=10, deadline=None)
 def test_dcf_arena_property_random_topologies(n_nodes, seed, protocol):
-    """Property: arena ≡ legacy DCF on arbitrary small topologies.
+    """Property: arena ≡ per-node DCF on arbitrary small topologies.
 
     Hypothesis drives node count, seed, and protocol; every example
     must produce bit-identical summaries and per-flow delay lists
-    across the contention-engine knob. ``os.environ`` is restored in a
-    finally so a failing example cannot leak the knob into later tests.
+    across the two contention engines.
     """
-    import os
-
     cfg = ScenarioConfig(
         protocol=protocol,
         n_nodes=n_nodes,
@@ -445,19 +385,9 @@ def test_dcf_arena_property_random_topologies(n_nodes, seed, protocol):
         traffic_start_window=(0.0, 2.0),
         seed=seed,
     )
-    saved = os.environ.pop("MANETSIM_LEGACY_DCF", None)
-    saved_phy = os.environ.pop("MANETSIM_LEGACY_PHY", None)
-    try:
-        fast = run_scenario(cfg)
-        os.environ["MANETSIM_LEGACY_DCF"] = "1"
+    fast = run_scenario(cfg)
+    with per_node_dcf():
         legacy = run_scenario(cfg)
-    finally:
-        if saved is None:
-            os.environ.pop("MANETSIM_LEGACY_DCF", None)
-        else:
-            os.environ["MANETSIM_LEGACY_DCF"] = saved
-        if saved_phy is not None:
-            os.environ["MANETSIM_LEGACY_PHY"] = saved_phy
 
     assert fast.perf["mac_timer_events"] > 0
     assert legacy.perf["mac_timer_events"] == 0
@@ -505,7 +435,7 @@ def test_batch_positions_match_scalar(kind, ts):
     """Batch ``positions(t)`` ≡ per-model ``position(t)`` (≤ 1e-12)."""
     # Two identically-seeded model sets: one driven through the batch
     # manager, one queried directly, so RNG draw order stays aligned.
-    mgr = MobilityManager(_build_models(kind, 11), batch=True)
+    mgr = MobilityManager(_build_models(kind, 11))
     ref = _build_models(kind, 11)
     for t in sorted(ts):
         pos = mgr.positions(t)

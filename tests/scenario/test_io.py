@@ -1,7 +1,6 @@
 """Config/result persistence."""
 
 import csv
-import os
 
 import pytest
 
@@ -101,10 +100,7 @@ class TestCsvExport:
         summaries_to_csv(summaries, path, include_perf=True)
         rows = list(csv.DictReader(open(path)))
         assert "perf_fanout_cache_hits" in rows[0]
-        if os.environ.get("MANETSIM_LEGACY_KINEMATICS") != "1":
-            # The legacy A/B leg disables the fan-out cache entirely;
-            # the column still exists, it just records zero hits.
-            assert int(rows[0]["perf_fanout_cache_hits"]) > 0
+        assert int(rows[0]["perf_fanout_cache_hits"]) > 0
         # Registry order is preserved in the header.
         header = path.read_text().splitlines()[0].split(",")
         hits = header.index("perf_fanout_cache_hits")

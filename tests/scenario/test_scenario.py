@@ -1,5 +1,8 @@
 """Scenario config validation, building, determinism, sweeps."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.core import ConfigurationError
@@ -11,6 +14,11 @@ from repro.scenario import (
     run_sweep,
     sweep_configs,
 )
+
+#: Every float-valued config field (scalars, optional scalars, pairs).
+FLOAT_FIELDS = [
+    f.name for f in dataclasses.fields(ScenarioConfig) if "float" in str(f.type)
+]
 
 SMALL = dict(
     n_nodes=10,
@@ -45,6 +53,14 @@ class TestConfig:
             ScenarioConfig(duration=0)
         with pytest.raises(ConfigurationError):
             ScenarioConfig(pause_time=-1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_rejects_non_finite_floats(self, name, bad):
+        default = getattr(ScenarioConfig(), name)
+        value = (bad, default[1]) if isinstance(default, tuple) else bad
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+            ScenarioConfig(**{name: value})
 
     def test_with_creates_modified_copy(self):
         a = ScenarioConfig()

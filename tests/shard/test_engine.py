@@ -1,7 +1,5 @@
 """Sharded-engine behaviour: guards, modes, merging, fallback."""
 
-import os
-
 import pytest
 
 from repro.scenario import ScenarioConfig, run_scenario
@@ -45,23 +43,18 @@ class TestGuards:
         with pytest.raises(ShardUnsupported, match="dcf"):
             run_sharded(cfg, 2)
 
-    def test_rejects_legacy_phy(self, monkeypatch):
-        monkeypatch.setenv("MANETSIM_LEGACY_PHY", "1")
-        with pytest.raises(ShardUnsupported, match="LEGACY_PHY"):
-            run_sharded(_clustered(), 2)
-
     def test_rejects_profiling(self):
         with pytest.raises(ShardUnsupported, match="profil"):
             run_sharded(_clustered(profile=True), 2)
 
-    def test_rejects_coupled_field_by_default(self, monkeypatch):
-        monkeypatch.delenv("MANETSIM_SHARD_COUPLED", raising=False)
+    def test_rejects_coupled_field_by_default(self):
         cfg = ScenarioConfig(
             protocol="aodv", n_nodes=30, mobility="static", duration=10.0,
             traffic_start_window=(0.0, 2.0), seed=7,
         )
-        with pytest.raises(ShardUnsupported, match="radio-disjoint"):
+        with pytest.raises(ShardUnsupported, match="radio-disjoint") as exc:
             run_sharded(cfg, 2)
+        assert "coupled fields run on the single loop" in str(exc.value)
 
     def test_bad_exec_mode(self):
         with pytest.raises(ShardError, match="inline"):
@@ -126,36 +119,6 @@ class TestIslandIdentity:
             sharded.perf["phy_batch_arrivals"]
             == single.perf["phy_batch_arrivals"]
         )
-
-
-class TestCoupledMode:
-    """The opt-in conservative driver for radio-connected fields."""
-
-    def _coupled_cfg(self, seed=7):
-        return ScenarioConfig(
-            protocol="aodv", n_nodes=30, mobility="static", duration=10.0,
-            n_connections=4, traffic_start_window=(0.0, 3.0), seed=seed,
-        )
-
-    def test_coupled_is_deterministic(self, monkeypatch):
-        monkeypatch.setenv("MANETSIM_SHARD_COUPLED", "1")
-        cfg = self._coupled_cfg()
-        a = run_sharded(cfg, 2, exec_mode="inline")
-        b = run_sharded(cfg, 2, exec_mode="inline")
-        assert a == b
-        for fid, flow in a.flows.items():
-            assert flow.delays == b.flows[fid].delays
-
-    def test_coupled_delivers_across_the_border(self, monkeypatch):
-        """Border exchange works end-to-end: cross-shard flows deliver
-        (timing is conservative; only same-instant backoff ties may
-        resolve differently from the single loop)."""
-        monkeypatch.setenv("MANETSIM_SHARD_COUPLED", "1")
-        cfg = self._coupled_cfg()
-        single = run_scenario(cfg, shards=1)
-        coupled = run_sharded(cfg, 2, exec_mode="inline")
-        assert coupled.data_sent == single.data_sent
-        assert coupled.data_received > 0
 
 
 class TestStreamingStats:
